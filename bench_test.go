@@ -54,7 +54,6 @@ func BenchmarkEXP08Padding(b *testing.B)        { runExperiment(b, "EXP08") }
 func BenchmarkEXP09Runtime(b *testing.B)        { runExperiment(b, "EXP09") }
 func BenchmarkEXP10ListRank(b *testing.B)       { runExperiment(b, "EXP10") }
 func BenchmarkEXP11CC(b *testing.B)             { runExperiment(b, "EXP11") }
-func BenchmarkEXP12Goroutine(b *testing.B)      { runExperiment(b, "EXP12") }
 func BenchmarkEXP13LayoutSweep(b *testing.B)    { runExperiment(b, "EXP13") }
 func BenchmarkEXP14ModelCheck(b *testing.B)     { runExperiment(b, "EXP14") }
 

@@ -1,20 +1,23 @@
 package registry
 
-// The codec layer behind the invocable catalog.  Every invocable speaks one
-// wire encoding — a flat []int64 word vector, the same canonical form the
-// cross-backend equality gate compares — but kernels compute on the typed
-// views of internal/fj (I64, F64, C128).  A Codec is the bridge for one
-// element type: an exact bit cast between wire words and native memory
-// (Float64bits round-trips every payload, NaNs included), so decode→encode
-// is byte-identity, which FuzzInvokeCodec pins for every kernel.  A shape
-// adds the kernel's geometry on top: word count, structural constraints,
-// and the input→output size map.  A new kernel therefore picks a codec,
-// picks (or writes) a shape, and supplies a run adapter — it never grows
-// another hand-written payload path.
+// The codec layer behind the catalog.  Every fj kernel speaks one wire
+// encoding — a flat []int64 word vector, the same canonical form the
+// cross-backend equality gate compares — but computes on the typed views of
+// internal/fj (I64, F64, C128).  The wire form of a float64 is its IEEE-754
+// bit pattern and that of a complex128 its (re, im) pair of bit patterns,
+// which is exactly how Go lays those types out in memory.  A real-backend
+// view therefore shares the wire words instead of converting them, and a
+// sim view is loaded from them without charging the simulation.  Both
+// directions are exact bit casts (NaN payloads included), so
+// decode→encode is byte-identity, which FuzzInvokeCodec pins for every
+// kernel.  A shape adds the kernel's geometry on top: word count,
+// structural constraints, and the input→output size map.  A catalog entry
+// (fj.go) names its view codec and its shape; everything else about moving
+// words in and out is derived here.
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 
 	"repro/internal/fj"
 )
@@ -35,72 +38,128 @@ type Codec struct {
 	RoundTrip func(w []int64) []int64
 }
 
+// view is the set of fj views a catalog kernel computes on.
+type view interface {
+	fj.I64 | fj.F64 | fj.C128
+	Words() []int64
+}
+
+// viewCodec is a Codec bound to its fj view type.
+type viewCodec[V view] struct {
+	Codec
+	// alloc allocates a zeroed view of elems elements in env.
+	alloc func(env *fj.Env, elems int64) V
+	// native returns a real-backend view sharing w's memory.
+	native func(w []int64) V
+	// raw returns the words a real-backend view's memory holds, nil for a
+	// sim view.
+	raw func(v V) []int64
+	// store writes wire words into a sim view without charging the
+	// simulation.
+	store func(v V, w []int64)
+}
+
+// newViewCodec completes vc with its Codec; RoundTrip views w natively and
+// dumps it back into fresh words.
+func newViewCodec[V view](kind string, wpe int64, vc viewCodec[V]) *viewCodec[V] {
+	vc.Codec = Codec{Kind: kind, WordsPerElem: wpe,
+		RoundTrip: func(w []int64) []int64 { return vc.native(w).Words() }}
+	return &vc
+}
+
+// input returns a view holding w: allocated and loaded in a sim env, a
+// view sharing w on the real backend.
+func (vc *viewCodec[V]) input(env *fj.Env, w []int64) V {
+	if env.Real() {
+		return vc.native(w)
+	}
+	v := vc.alloc(env, int64(len(w))/vc.WordsPerElem)
+	vc.store(v, w)
+	return v
+}
+
+// load writes wire words into v without charging the simulation.
+func (vc *viewCodec[V]) load(v V, w []int64) {
+	if r := vc.raw(v); r != nil {
+		copy(r, w)
+		return
+	}
+	vc.store(v, w)
+}
+
+// peek returns v's wire words for reading: v's own memory on the real
+// backend, a fresh dump under the simulator.
+func (vc *viewCodec[V]) peek(v V) []int64 {
+	if r := vc.raw(v); r != nil {
+		return r
+	}
+	return v.Words()
+}
+
 var (
-	codecI64 = &Codec{Kind: "i64", WordsPerElem: 1,
-		RoundTrip: func(w []int64) []int64 { return append([]int64(nil), w...) }}
-	codecF64 = &Codec{Kind: "f64", WordsPerElem: 1,
-		RoundTrip: func(w []int64) []int64 { return f64ToWords(f64FromWords(w)) }}
-	codecC128 = &Codec{Kind: "c128", WordsPerElem: 2,
-		RoundTrip: func(w []int64) []int64 { return c128ToWords(c128FromWords(w)) }}
+	i64Views = newViewCodec("i64", 1, viewCodec[fj.I64]{
+		alloc:  (*fj.Env).I64,
+		native: fj.WrapI64,
+		raw:    fj.I64.Raw,
+		store: func(v fj.I64, w []int64) {
+			for i, x := range w {
+				v.Store(int64(i), x)
+			}
+		},
+	})
+	f64Views = newViewCodec("f64", 1, viewCodec[fj.F64]{
+		alloc:  (*fj.Env).F64,
+		native: func(w []int64) fj.F64 { return fj.WrapF64(cast[float64](w)) },
+		raw:    func(v fj.F64) []int64 { return cast[int64](v.Raw()) },
+		store: func(v fj.F64, w []int64) {
+			for i, x := range cast[float64](w) {
+				v.Store(int64(i), x)
+			}
+		},
+	})
+	c128Views = newViewCodec("c128", 2, viewCodec[fj.C128]{
+		alloc:  (*fj.Env).C128,
+		native: func(w []int64) fj.C128 { return fj.WrapC128(cast[complex128](w)) },
+		raw:    func(v fj.C128) []int64 { return cast[int64](v.Raw()) },
+		store: func(v fj.C128, w []int64) {
+			for i, x := range cast[complex128](w) {
+				v.Store(int64(i), x)
+			}
+		},
+	})
 )
 
-// f64FromWords decodes IEEE-754 bit words into a fresh native slice.
-func f64FromWords(w []int64) []float64 {
-	out := make([]float64, len(w))
-	for i, x := range w {
-		out[i] = math.Float64frombits(uint64(x))
-	}
-	return out
+// cast reinterprets s's memory as a slice of To without copying (nil stays
+// nil).  All three element types are 8-byte aligned, and the wire encoding
+// is their in-memory bit pattern.
+func cast[To, From int64 | float64 | complex128](s []From) []To {
+	n := uintptr(len(s)) * unsafe.Sizeof(*new(From)) / unsafe.Sizeof(*new(To))
+	return unsafe.Slice((*To)(unsafe.Pointer(unsafe.SliceData(s))), n)
 }
 
-// f64IntoWords encodes v into dst (len(dst) == len(v)).
-func f64IntoWords(dst []int64, v []float64) {
-	for i, x := range v {
-		dst[i] = int64(math.Float64bits(x))
-	}
-}
-
-func f64ToWords(v []float64) []int64 {
-	out := make([]int64, len(v))
-	f64IntoWords(out, v)
-	return out
-}
-
-// c128FromWords decodes interleaved (re bits, im bits) word pairs; len(w)
-// must be even.
-func c128FromWords(w []int64) []complex128 {
-	out := make([]complex128, len(w)/2)
-	for i := range out {
-		out[i] = complex(
-			math.Float64frombits(uint64(w[2*i])),
-			math.Float64frombits(uint64(w[2*i+1])))
-	}
-	return out
-}
-
-// c128IntoWords encodes v into dst (len(dst) == 2·len(v)).
-func c128IntoWords(dst []int64, v []complex128) {
-	for i, x := range v {
-		dst[2*i] = int64(math.Float64bits(real(x)))
-		dst[2*i+1] = int64(math.Float64bits(imag(x)))
-	}
-}
-
-func c128ToWords(v []complex128) []int64 {
-	out := make([]int64, 2*len(v))
-	c128IntoWords(out, v)
-	return out
-}
-
-// shape describes one kernel's wire geometry.  The three fields become the
-// Invocable's Validate, OutLen and InWords verbatim: check accepts a
-// payload only if Run is panic-free on it, outWords derives the output
-// word count of an accepted payload, and inWords maps request size n to
-// payload words (saturating, so callers can cap before allocating).
+// shape describes one kernel's wire geometry.  check, outWords and inWords
+// become the Invocable's Validate, OutLen and InWords verbatim: check
+// accepts a payload only if Run is panic-free on it, outWords derives the
+// output word count of an accepted payload, and inWords maps request size
+// n to payload words (saturating, so callers can cap before allocating).
+// pow2 restricts the size n the generator accepts to zero or a power of
+// two (the halving recursions).
 type shape struct {
 	check    func(w []int64) error
 	outWords func(w []int64) int64
 	inWords  func(n int64) int64
+	pow2     bool
+}
+
+// size rejects a generator size n the shape cannot encode.
+func (sh shape) size(n int64) error {
+	if n < 0 {
+		return fmt.Errorf("n = %d is negative", n)
+	}
+	if sh.pow2 && n&(n-1) != 0 {
+		return fmt.Errorf("n = %d is not a power of two", n)
+	}
+	return nil
 }
 
 // flatShape accepts any word count; output is input-sized.  The geometry
@@ -139,6 +198,7 @@ var matPairShape = shape{
 	},
 	outWords: func(w []int64) int64 { return int64(len(w) / 2) },
 	inWords:  func(n int64) int64 { return satMul(2, satMul(n, n)) },
+	pow2:     true,
 }
 
 // squareShape is transpose's n² geometry: one row-major square matrix of
@@ -167,6 +227,7 @@ var fftShape = shape{
 	},
 	outWords: func(w []int64) int64 { return int64(len(w)) },
 	inWords:  func(n int64) int64 { return satMul(2, n) },
+	pow2:     true,
 }
 
 // listShape is listrank's geometry: n successor indices that must encode a
@@ -268,60 +329,4 @@ func satMul(a, b int64) int64 {
 		return 1<<63 - 1
 	}
 	return a * b
-}
-
-// i64Invocable derives an Invocable through the I64 codec: the wire words
-// ARE the elements, so input and output wrap zero-copy via fj.WrapI64.
-func i64Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out fj.I64),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecI64,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			run(c, fj.WrapI64(in), fj.WrapI64(out))
-		},
-		Gen: gen, Verify: verify,
-	}
-}
-
-// f64Invocable derives an Invocable through the F64 codec: wire words are
-// IEEE-754 bit patterns, decoded once into native float64 memory at the
-// service boundary (the kernel then runs zero-copy on fj.WrapF64 wraps of
-// it) and bit-cast back on the way out.
-func f64Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out []float64),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecF64,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			tin := f64FromWords(in)
-			tout := make([]float64, len(out))
-			run(c, tin, tout)
-			f64IntoWords(out, tout)
-		},
-		Gen: gen, Verify: verify,
-	}
-}
-
-// c128Invocable derives an Invocable through the C128 codec: two wire
-// words per element (re bits, then im bits).
-func c128Invocable(name, desc, payload string, sh shape,
-	run func(c *fj.Ctx, in, out []complex128),
-	gen func(n int64, seed uint64) ([]int64, error),
-	verify func(in, out []int64) bool) Invocable {
-	return Invocable{
-		Name: name, Desc: desc, Payload: payload, Codec: codecC128,
-		Validate: sh.check, OutLen: sh.outWords, InWords: sh.inWords,
-		Run: func(c *fj.Ctx, in, out []int64) {
-			tin := c128FromWords(in)
-			tout := make([]complex128, len(out)/2)
-			run(c, tin, tout)
-			c128IntoWords(out, tout)
-		},
-		Gen: gen, Verify: verify,
-	}
 }

@@ -56,19 +56,19 @@ func TestInvocableValidateTable(t *testing.T) {
 		{"strassen", "dim-not-pow2", make([]int64, 2*9), false}, // 3×3
 
 		{"matmul", "empty", []int64{}, true},
-		{"matmul", "1x1", f64ToWords([]float64{3, 5}), true},
-		{"matmul", "2x2", f64ToWords([]float64{1, 2, 3, 4, 5, 6, 7, 8}), true},
+		{"matmul", "1x1", cast[int64]([]float64{3, 5}), true},
+		{"matmul", "2x2", cast[int64]([]float64{1, 2, 3, 4, 5, 6, 7, 8}), true},
 		{"matmul", "odd-words", []int64{1, 2, 3}, false},
 		{"matmul", "dim-not-pow2", make([]int64, 2*9), false}, // 3×3
 
 		{"transpose", "empty", []int64{}, true},
-		{"transpose", "1x1", f64ToWords([]float64{7}), true},
-		{"transpose", "2x2", f64ToWords([]float64{1, 2, 3, 4}), true},
+		{"transpose", "1x1", cast[int64]([]float64{7}), true},
+		{"transpose", "2x2", cast[int64]([]float64{1, 2, 3, 4}), true},
 		{"transpose", "not-square", make([]int64, 3), false},
 
 		{"fft", "empty", []int64{}, true},
-		{"fft", "single", f64ToWords([]float64{0.5, -0.5}), true},
-		{"fft", "two-samples", f64ToWords([]float64{1, 0, 0, 1}), true},
+		{"fft", "single", cast[int64]([]float64{0.5, -0.5}), true},
+		{"fft", "two-samples", cast[int64]([]float64{1, 0, 0, 1}), true},
 		{"fft", "odd-words", []int64{1, 2, 3}, false},
 		{"fft", "len-not-pow2", make([]int64, 6), false}, // n = 3
 
@@ -159,6 +159,39 @@ func TestInvocableDegenerates(t *testing.T) {
 			out := runInvocable(t, k, in)
 			if !k.Verify(in, out) {
 				t.Fatalf("%s: n=%d degenerate fails verification", k.Name, n)
+			}
+		}
+	}
+}
+
+// TestServedMatchesCatalog pins the service and the experiments to one
+// program: for every fj kernel at its equality-gate size and two seeds,
+// the served Run on the generated payload must produce exactly the words
+// of the real work unit Setup builds.  spms is served as "sort".
+func TestServedMatchesCatalog(t *testing.T) {
+	servedAs := map[string]string{"spms": "sort"}
+	pool := rt.NewPool(2, rt.Random)
+	for _, k := range FJKernels() {
+		name := k.Name
+		if s, ok := servedAs[name]; ok {
+			name = s
+		}
+		inv, ok := FindInvocable(name)
+		if !ok || inv.Desc != k.Desc {
+			t.Fatalf("%s: invocable %q missing or not derived from this entry", k.Name, name)
+		}
+		n := eqSizes[k.Name]
+		for _, seed := range []uint64{3, 42} {
+			in, err := inv.Gen(n, seed)
+			if err != nil {
+				t.Fatalf("%s: Gen(%d, %d): %v", name, n, seed, err)
+			}
+			served := make([]int64, inv.OutLen(in))
+			fj.RunReal(pool, func(c *fj.Ctx) { inv.Run(c, in, served) })
+			w := k.Setup(fj.NewRealEnv(), n, seed)
+			fj.RunReal(pool, w.Root)
+			if !equalWords(served, w.Output()) {
+				t.Errorf("%s n=%d seed=%d: served output differs from the catalog work unit", k.Name, n, seed)
 			}
 		}
 	}

@@ -2,10 +2,11 @@
 // algorithm — whether it runs on the *simulated* multicore of
 // internal/machine (the paper's model, Sections 1–2) or on *real hardware*
 // via the internal/rt work-stealing runtime — is registered here under a
-// (name, backend) key.  The experiment drivers (internal/bench), both
-// commands (cmd/hbpbench, cmd/hbptrace) and the analytical cost model
-// (internal/model) all resolve kernels through this package, so the
-// scenario surface has one source of truth.
+// (name, backend) key.  The experiment drivers (internal/bench), the
+// commands (cmd/hbpbench, cmd/hbptrace), the kernel service
+// (internal/serve) and the analytical cost model (internal/model) all
+// resolve kernels through this package, so the scenario surface has one
+// source of truth.
 //
 // Two kinds of entries feed the catalog:
 //
@@ -14,11 +15,16 @@
 //     (locals on the execution stack, up-tree layouts, gapping) the bound
 //     lemmas analyze.  Sim backend only.
 //   - fj-unified kernels (fj.go): one fork-join source per kernel, written
-//     against internal/fj and registered under BOTH backends — the sim
-//     lowering builds a core.Node tree for the simulated multicore, the
-//     real lowering schedules the identical source on internal/rt.  The
-//     cross-backend equality gate holds the two lowerings to byte-identical
-//     outputs.
+//     against internal/fj, and one catalog entry per kernel.  The entry
+//     holds everything the kernel needs besides its algorithm: name,
+//     description, wire codec and shape (codec.go), sizes, one seeded
+//     generator of input words, one run adapter over fj views and one
+//     word-level verifier.  The sim work unit, the real work unit
+//     (FJKernel.Setup on either fj.Env) and the served Invocable
+//     (invoke.go) are all derived from that entry, so the experiments and
+//     the service run the same program on the same input.  The
+//     cross-backend equality gate holds the two lowerings to
+//     byte-identical outputs.
 //
 // All returns the union sorted by (name, backend), so listings and -canon
 // diffs are byte-stable.  Input generation is seeded (FillRand,
@@ -32,7 +38,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mem"
-	"repro/internal/rt"
 )
 
 // Backend tags where a kernel runs.
@@ -66,34 +71,16 @@ type SimKernel struct {
 	Build func(m *machine.Machine, n int64, seed uint64) *core.Node
 }
 
-// RealWork is one prepared real-hardware kernel invocation: inputs are
-// built (and the result verified) outside the timed pool run.
-type RealWork struct {
-	Run    func(c *rt.Ctx)
-	Verify func() bool
-}
-
-// RealKernel is a real-hardware kernel on the internal/rt runtime.
-type RealKernel struct {
-	Name string
-	Desc string // one-line description for listings
-	// Size picks the problem size (quick vs full sweeps).
-	Size func(quick bool) int
-	// Setup builds seeded inputs and returns the timed work unit.
-	Setup func(n int, seed uint64) RealWork
-}
-
-// Kernel is one registry entry: a (name, backend) key plus the
-// backend-specific descriptor for that lowering.  FJ is non-nil on both
-// entries of an fj-unified kernel (the marker listings print), nil on the
-// hand-built Table-1 sim kernels.
+// Kernel is one registry entry: a (name, backend) key plus the descriptor
+// for that lowering.  FJ is non-nil on both entries of an fj-unified kernel
+// (the marker listings print; a real entry is run through FJ.Setup), nil on
+// the hand-built Table-1 sim kernels.
 type Kernel struct {
 	Name    string
 	Backend Backend
 	Desc    string
-	Sim     *SimKernel  // non-nil iff Backend == Sim
-	Real    *RealKernel // non-nil iff Backend == Real
-	FJ      *FJKernel   // non-nil iff the entry is lowered from a unified fj source
+	Sim     *SimKernel // non-nil iff Backend == Sim
+	FJ      *FJKernel  // non-nil iff the entry is lowered from a unified fj source
 }
 
 // All returns every registered kernel — the Table-1 sim catalog plus both
@@ -105,10 +92,10 @@ func All() []Kernel {
 		k := &simCatalog[i]
 		out = append(out, Kernel{Name: k.Name, Backend: Sim, Desc: k.Desc, Sim: k})
 	}
-	for i := range fjCatalog {
-		f := &fjCatalog[i]
+	for i := range catalog {
+		f := &catalog[i].fj
 		out = append(out, Kernel{Name: f.Name, Backend: Sim, Desc: f.Desc, Sim: f.simKernel(), FJ: f})
-		out = append(out, Kernel{Name: f.Name, Backend: Real, Desc: f.Desc, Real: f.realKernel(), FJ: f})
+		out = append(out, Kernel{Name: f.Name, Backend: Real, Desc: f.Desc, FJ: f})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Name != out[j].Name {
@@ -134,18 +121,14 @@ func Find(name string, b Backend) (Kernel, bool) {
 // lowerings are additional sim entries reachable via All and Find).
 func SimKernels() []SimKernel { return append([]SimKernel(nil), simCatalog...) }
 
-// RealKernels returns the real-hardware kernel suite in catalog order:
-// the real lowering of every fj-unified kernel.
-func RealKernels() []RealKernel {
-	out := make([]RealKernel, 0, len(fjCatalog))
-	for i := range fjCatalog {
-		out = append(out, *fjCatalog[i].realKernel())
+// FJKernels returns the fj-unified catalog in order.
+func FJKernels() []FJKernel {
+	out := make([]FJKernel, len(catalog))
+	for i, e := range catalog {
+		out[i] = e.fj
 	}
 	return out
 }
-
-// FJKernels returns the fj-unified catalog in order.
-func FJKernels() []FJKernel { return append([]FJKernel(nil), fjCatalog...) }
 
 // LCG is a tiny deterministic generator for reproducible inputs.
 type LCG uint64
@@ -168,22 +151,9 @@ func FillRand(a mem.Array, seed uint64, mod int64) {
 // (the list-ranking input): a uniformly seeded permutation chained head to
 // tail, with -1 terminating the last node.
 func RandPermList(sp *mem.Space, n int64, seed uint64) mem.Array {
-	g := LCG(seed)
-	order := make([]int64, n)
-	for i := range order {
-		order[i] = int64(i)
-	}
-	for i := n - 1; i > 0; i-- {
-		j := g.Next() % (i + 1)
-		order[i], order[j] = order[j], order[i]
-	}
+	w := make([]int64, n)
+	fillPermList(w, seed)
 	succ := mem.NewArray(sp, n)
-	for k := int64(0); k < n; k++ {
-		if k == n-1 {
-			succ.Set(order[k], -1)
-		} else {
-			succ.Set(order[k], order[k+1])
-		}
-	}
+	succ.CopyIn(w)
 	return succ
 }

@@ -191,7 +191,6 @@ func Experiments() []Experiment {
 		{"EXP09", "Lemma 4.12: runtime decomposition (W+bQ)/p + sP·T∞", sim, exp09Cells, exp09Finish, exp09Render},
 		{"EXP10", "Thm 4.1: list ranking bounds and gapping cutoff", sim, exp10Cells, nil, exp10Render},
 		{"EXP11", "CC: log n × LR cost shape", sim, exp11Cells, nil, exp11Render},
-		{"EXP12", "Goroutine runtime speedup (real parallelism)", real, exp12Cells, exp12Finish, exp12Render},
 		{"EXP13", "False-sharing layout sweep: padded vs compact runtime state", real, exp13Cells, exp13Finish, exp13Render},
 		{"EXP14", "Analytical model check: fitted bounds per kernel × sched × (n,p,B)", sim, exp14Cells, exp14Finish, exp14Render},
 		{"EXP15", "Sort critical path: spms c·lg n·lglg n vs sortx c·lg³ n", sim, exp15Cells, exp15Finish, exp15Render},

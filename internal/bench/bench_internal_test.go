@@ -40,8 +40,9 @@ func TestFindAlgo(t *testing.T) {
 
 func TestExperimentsRegistered(t *testing.T) {
 	exps := Experiments()
-	if len(exps) != 16 {
-		t.Fatalf("%d experiments registered, want 16", len(exps))
+	// EXP01–EXP16 without EXP12, which EXP13's priority arm replaces.
+	if len(exps) != 15 {
+		t.Fatalf("%d experiments registered, want 15", len(exps))
 	}
 	for _, e := range exps {
 		if e.Backend != "sim" && e.Backend != "real" {

@@ -9,6 +9,7 @@ package bench_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -19,17 +20,25 @@ import (
 // where ratio is 1.0 by construction.
 const exp15GateEps = 1e-9
 
+// exp15Grid builds the EXP15 grid once for every test that reads it.
+var exp15Grid struct {
+	once sync.Once
+	rows []harness.Row
+}
+
 func exp15Rows(t *testing.T) []harness.Row {
 	t.Helper()
 	e, ok := bench.FindExperiment("EXP15")
 	if !ok {
 		t.Fatal("EXP15 not registered")
 	}
-	rows := e.Rows(bench.Params{Quick: testing.Short()}, 1)
-	if len(rows) == 0 {
+	exp15Grid.once.Do(func() {
+		exp15Grid.rows = e.Rows(bench.Params{Quick: testing.Short()}, 1)
+	})
+	if len(exp15Grid.rows) == 0 {
 		t.Fatal("EXP15 produced no rows")
 	}
-	return rows
+	return exp15Grid.rows
 }
 
 // exp15ArmOf mirrors the experiment's note schema ("depth:<arm>").

@@ -41,7 +41,7 @@ import (
 //     grid's widest batch per (clients, pool).
 //
 // Cells are Exclusive (wall-clock must not share the machine with the
-// concurrent harness batch) and rows Volatile, as in EXP12/EXP13.  The
+// concurrent harness batch) and rows Volatile, as in EXP13.  The
 // configuration that is not row identity — batch size, client count, flush
 // policy, submission mode — is encoded in Note together with the
 // verification status, because Note survives harness.Normalize; the

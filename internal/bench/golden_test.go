@@ -3,7 +3,7 @@ package bench_test
 // Golden determinism tests: every experiment's quick-mode row set must be
 // byte-identical whether the grid runs serially or on an 8-worker pool.
 // Rows are normalized first (wall-clock fields zeroed everywhere, all
-// measurements zeroed on Volatile rows — EXP12's wall-clock cells), which
+// measurements zeroed on Volatile rows — EXP13's wall-clock cells), which
 // is exactly what `hbpbench -canon` emits for cross-PR diffing.
 
 import (

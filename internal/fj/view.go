@@ -60,32 +60,12 @@ func (e *Env) C128(n int64) C128 {
 func WrapI64(s []int64) I64 { return I64{s: s} }
 
 // WrapF64 wraps an existing native float64 slice as a real-backend view
-// without copying (see WrapI64) — the serving layer's zero-copy path for
-// float-element kernels: the payload codec decodes IEEE-754 bit words into a
-// native slice once, and the kernel then runs directly on it.
+// without copying (see WrapI64).
 func WrapF64(s []float64) F64 { return F64{s: s} }
 
 // WrapC128 wraps an existing native complex128 slice as a real-backend view
 // without copying (see WrapI64).
 func WrapC128(s []complex128) C128 { return C128{s: s} }
-
-// MatF64 is a shape-carrying F64 view: the same flat row-major storage plus
-// the matrix geometry the flat view cannot express.  Kernel call sites that
-// take a matrix payload carve it with WrapMatF64 so the dimension travels
-// with the data instead of being re-derived (or mis-derived) at each layer.
-type MatF64 struct {
-	F64
-	Rows, Cols int64
-}
-
-// WrapMatF64 wraps native row-major storage as a rows×cols matrix view;
-// it panics unless len(s) == rows·cols.  Real-backend only, like WrapF64.
-func WrapMatF64(s []float64, rows, cols int64) MatF64 {
-	if int64(len(s)) != rows*cols {
-		panic(fmt.Sprintf("fj: WrapMatF64 storage has %d elements, want %d×%d", len(s), rows, cols))
-	}
-	return MatF64{F64: F64{s: s}, Rows: rows, Cols: cols}
-}
 
 // AllocI64 allocates an n-element zeroed int64 view mid-computation: a
 // charged, block-aligned allocation from the executing core's arena on the

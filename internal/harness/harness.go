@@ -100,7 +100,8 @@ func (g Grid) Specs() []Spec {
 // Cell is one independent unit of grid work.  Run must be safe to call
 // concurrently with other cells' Run functions (each cell builds its own
 // simulated machine).  Exclusive cells measure wall-clock parallelism
-// themselves (EXP12) and are run one at a time, after the concurrent batch.
+// themselves (EXP13, EXP16) and are run one at a time, after the concurrent
+// batch.
 type Cell struct {
 	Exp       string
 	Label     string

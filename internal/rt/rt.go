@@ -34,7 +34,7 @@
 //
 // The simulator in internal/core measures the paper's cache and block-miss
 // quantities; this package demonstrates the same computations running with
-// genuine parallelism and feeds the wall-clock experiments (EXP12, EXP13).
+// genuine parallelism and feeds the wall-clock experiment EXP13.
 package rt
 
 import (

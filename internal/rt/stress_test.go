@@ -130,7 +130,7 @@ func TestStressParallelMixedDepths(t *testing.T) {
 
 // TestStressConcurrentPools runs independent pools from independent
 // goroutines — exactly what the harness does when an experiment cell
-// (EXP12 aside) spins up its own simulated runs while other cells execute.
+// (EXP13 aside) spins up its own simulated runs while other cells execute.
 func TestStressConcurrentPools(t *testing.T) {
 	const pools = 6
 	done := make(chan int64, pools)

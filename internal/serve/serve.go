@@ -195,9 +195,9 @@ type Service struct {
 	// before it runs on the pool.
 	hookBatch func(width int)
 	// hookSubtask, when set (tests only), runs inside the pool right after
-	// batch subtask i resolved its request's completion channel — the
-	// deterministic gate the streaming tests hold a batch open with.
-	hookSubtask func(i int)
+	// a batch subtask resolved its request's completion channel with out —
+	// the deterministic gate the streaming tests hold a batch open with.
+	hookSubtask func(out []int64)
 }
 
 // New starts a service with its dispatcher running.
@@ -374,7 +374,7 @@ func (s *Service) finish(fc *fj.Ctx, c *call, out []int64, i, width int) {
 		c.done <- result{resp: resp}
 	}
 	if s.hookSubtask != nil {
-		s.hookSubtask(i)
+		s.hookSubtask(out)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -29,18 +30,22 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 	defer svc.Close()
 
 	release := make(chan struct{})
+	held := make(chan []int64, 1) // output of the subtask the gate holds
 	var gate sync.Once
 	var entered atomic.Int32 // subtasks that finished (entered the hook)
-	var heldIdx atomic.Int32 // 1 + index of the subtask the gate holds
-	svc.hookSubtask = func(i int) {
+	svc.hookSubtask = func(out []int64) {
 		entered.Add(1)
 		gate.Do(func() {
-			heldIdx.Store(int32(i) + 1)
+			held <- append([]int64(nil), out...)
 			<-release
 		})
 	}
 	ts := httptest.NewServer(svc.Handler())
 	defer ts.Close()
+	// Deferred last so it runs first: a failing check must free the held
+	// worker, or closing the server and the service waits on it forever.
+	var unblock sync.Once
+	defer unblock.Do(func() { close(release) })
 
 	var buf bytes.Buffer
 	buf.WriteString(`{"kernel":"sort","n":64,"seed":1}` + "\n")
@@ -60,6 +65,12 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first stream line: %v", err)
 	}
+	// The request's response is sent before its subtask enters the hook,
+	// so wait for the hook to record the held output before comparing.
+	// The window's requests are submitted concurrently, so a subtask's
+	// position in the batch says nothing about its request's stream index:
+	// the held subtask is identified by its output instead.
+	heldOut := <-held
 	if n := entered.Load(); n != 1 {
 		t.Fatalf("%d subtasks completed before the first line was read, want exactly 1", n)
 	}
@@ -67,12 +78,12 @@ func TestBatchStreamsBeforeCompletion(t *testing.T) {
 	if err := json.Unmarshal(line1, &first); err != nil {
 		t.Fatalf("first line %q: %v", line1, err)
 	}
-	if want := int(heldIdx.Load()) - 1; first.Index != want {
-		t.Fatalf("first line carries index %d, want the held subtask %d", first.Index, want)
+	if !slices.Equal(first.Output, heldOut) {
+		t.Fatalf("first line (index %d) is not the held subtask's response", first.Index)
 	}
 
 	// Release the batch; the second response follows, then the stream ends.
-	close(release)
+	unblock.Do(func() { close(release) })
 	line2, err := br.ReadBytes('\n')
 	if err != nil {
 		t.Fatalf("second stream line: %v", err)
