@@ -204,8 +204,8 @@ func BenchmarkRealSortFJ(b *testing.B) {
 }
 
 // BenchmarkRealSortSPMSFJ times the SPMS kernel's real lowering on the same
-// keys as the sortx pair above — the third leg of the sort trajectory that
-// scripts/bench_snapshot.sh records into BENCH_sort.json each PR.
+// keys as the sortx pair above — the third leg of the sort comparison; the
+// perf trajectory itself is `bash perfbench/run.sh`.
 func BenchmarkRealSortSPMSFJ(b *testing.B) {
 	src := benchKeys(benchSortN, 3)
 	env := fj.NewRealEnv()

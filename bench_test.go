@@ -43,19 +43,17 @@ func runExperiment(b *testing.B, id string) {
 	}
 }
 
-func BenchmarkEXP01Table1(b *testing.B)         { runExperiment(b, "EXP01") }
-func BenchmarkEXP02BPCacheExcess(b *testing.B)  { runExperiment(b, "EXP02") }
-func BenchmarkEXP03HBPCacheExcess(b *testing.B) { runExperiment(b, "EXP03") }
-func BenchmarkEXP04BlockExcess(b *testing.B)    { runExperiment(b, "EXP04") }
-func BenchmarkEXP05StealBounds(b *testing.B)    { runExperiment(b, "EXP05") }
-func BenchmarkEXP06PWSvsRWS(b *testing.B)       { runExperiment(b, "EXP06") }
-func BenchmarkEXP07Gapping(b *testing.B)        { runExperiment(b, "EXP07") }
-func BenchmarkEXP08Padding(b *testing.B)        { runExperiment(b, "EXP08") }
-func BenchmarkEXP09Runtime(b *testing.B)        { runExperiment(b, "EXP09") }
-func BenchmarkEXP10ListRank(b *testing.B)       { runExperiment(b, "EXP10") }
-func BenchmarkEXP11CC(b *testing.B)             { runExperiment(b, "EXP11") }
-func BenchmarkEXP13LayoutSweep(b *testing.B)    { runExperiment(b, "EXP13") }
-func BenchmarkEXP14ModelCheck(b *testing.B)     { runExperiment(b, "EXP14") }
+func BenchmarkEXP01Table1(b *testing.B)      { runExperiment(b, "EXP01") }
+func BenchmarkEXP02BoundSweep(b *testing.B)  { runExperiment(b, "EXP02") }
+func BenchmarkEXP05StealBounds(b *testing.B) { runExperiment(b, "EXP05") }
+func BenchmarkEXP06PWSvsRWS(b *testing.B)    { runExperiment(b, "EXP06") }
+func BenchmarkEXP07Gapping(b *testing.B)     { runExperiment(b, "EXP07") }
+func BenchmarkEXP08Padding(b *testing.B)     { runExperiment(b, "EXP08") }
+func BenchmarkEXP09Runtime(b *testing.B)     { runExperiment(b, "EXP09") }
+func BenchmarkEXP10ListRank(b *testing.B)    { runExperiment(b, "EXP10") }
+func BenchmarkEXP11CC(b *testing.B)          { runExperiment(b, "EXP11") }
+func BenchmarkEXP13LayoutSweep(b *testing.B) { runExperiment(b, "EXP13") }
+func BenchmarkEXP14ModelCheck(b *testing.B)  { runExperiment(b, "EXP14") }
 
 // --- Substrate micro-benchmarks --------------------------------------------
 

@@ -26,12 +26,11 @@ import (
 // catalog and the commands speak one type.
 type Spec = harness.Spec
 
-// DefaultSpec is the tall-cache machine used unless a sweep overrides it
-// (harness.DefaultGrid: M = 1024 words, B = 16 words so M = B²·4, b = 8).
+// DefaultSpec is the tall-cache machine used unless a sweep overrides it:
+// M = 1024 words, B = 16 words (so M = B²·4), miss latency b = 8, PWS,
+// unpadded stacks.
 func DefaultSpec(p int) Spec {
-	s := harness.DefaultGrid().Specs()[0]
-	s.P = p
-	return s
+	return Spec{P: p, M: 1024, B: 16, MissLatency: 8, Sched: "pws"}
 }
 
 func scheduler(s Spec) core.Scheduler {
@@ -127,16 +126,10 @@ type Params struct {
 	Seed    uint64
 }
 
-func (p Params) reps() int {
-	if p.Repeats <= 0 {
-		return 1
-	}
-	return p.Repeats
-}
-
-// eachRepeat invokes fn once per repeat with the repeat index and its seed.
+// eachRepeat invokes fn once per repeat (at least once) with the repeat
+// index and its seed, Seed+rep.
 func (p Params) eachRepeat(fn func(rep int, seed uint64)) {
-	for r := 0; r < p.reps(); r++ {
+	for r := 0; r < max(p.Repeats, 1); r++ {
 		fn(r, p.Seed+uint64(r))
 	}
 }
@@ -181,9 +174,7 @@ func Experiments() []Experiment {
 	sim, real := registry.Sim, registry.Real
 	return []Experiment{
 		{"EXP01", "Table 1: structural parameters of every HBP algorithm", sim, exp01Cells, nil, exp01Render},
-		{"EXP02", "Lemma 4.4: BP cache-miss excess is O(pM/B)", sim, exp02Cells, exp02Finish, exp02Render},
-		{"EXP03", "Lemma 4.1: Type-2 HBP cache-miss excess", sim, exp03Cells, exp03Finish, exp03Render},
-		{"EXP04", "Lemmas 4.8/4.9/4.2: block-miss (false-sharing) excess", sim, exp04Cells, nil, exp04Render},
+		{"EXP02", "Lemmas 4.1/4.4/4.2/4.8/4.9: steal excess and block misses vs the model over p and B", sim, exp02Cells, exp02Finish, exp02Render},
 		{"EXP05", "Obs 4.3 + Cor 4.1: steal counts per priority and attempts", sim, exp05Cells, nil, exp05Render},
 		{"EXP06", "PWS vs RWS: the headline scheduler comparison", sim, exp06Cells, exp06Finish, exp06Render},
 		{"EXP07", "Gapping ablation: Direct BI-RM vs BI-RM (gap RM)", sim, exp07Cells, nil, exp07Render},

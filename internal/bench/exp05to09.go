@@ -161,24 +161,26 @@ func exp07Render(w io.Writer, rows []harness.Row) {
 // between stack frames so frames of different tasks rarely share a block,
 // cutting the block-wait component of steals to O(b log p).
 func exp08Cells(p Params) []harness.Cell {
-	grid := harness.Grid{Ps: []int{8}, Padded: []bool{false, true}, Repeats: p.reps(), Seed: p.Seed}
 	var cells []harness.Cell
-	for _, name := range []string{"Scan(M-Sum)", "Scan(PS)", "FFT"} {
-		a, _ := FindAlgo(name)
-		n := a.Sizes[1]
-		if p.Quick {
-			n = a.Sizes[0]
+	p.eachRepeat(func(rep int, seed uint64) {
+		for _, name := range []string{"Scan(M-Sum)", "Scan(PS)", "FFT"} {
+			a, _ := FindAlgo(name)
+			n := a.Sizes[1]
+			if p.Quick {
+				n = a.Sizes[0]
+			}
+			for _, padded := range []bool{false, true} {
+				spec := stamp(DefaultSpec(8), rep, seed)
+				spec.Padded = padded
+				cells = append(cells, harness.Cell{
+					Exp: "EXP08", Label: a.Name,
+					Run: func() []harness.Row {
+						return []harness.Row{measure("EXP08", a, n, spec)}
+					},
+				})
+			}
 		}
-		for _, spec := range grid.Specs() {
-			a, n, spec := a, n, spec
-			cells = append(cells, harness.Cell{
-				Exp: "EXP08", Label: a.Name,
-				Run: func() []harness.Row {
-					return []harness.Row{measure("EXP08", a, n, spec)}
-				},
-			})
-		}
-	}
+	})
 	return cells
 }
 

@@ -37,9 +37,6 @@ func NewSet(capBlocks int) *Set {
 	return &Set{capacity: capBlocks, frames: make(map[int64]*frame, capBlocks)}
 }
 
-// Capacity returns the number of block frames.
-func (s *Set) Capacity() int { return s.capacity }
-
 // Len returns the number of resident blocks (valid or invalid).
 func (s *Set) Len() int { return len(s.frames) }
 
@@ -95,21 +92,6 @@ func (s *Set) Invalidate(b int64) bool {
 	}
 	f.valid = false
 	return true
-}
-
-// Drop removes block b entirely (used when a directory steals ownership in
-// tests; not part of the normal protocol).
-func (s *Set) Drop(b int64) {
-	if f, ok := s.frames[b]; ok {
-		s.unlink(f)
-		delete(s.frames, b)
-	}
-}
-
-// Clear empties the cache.
-func (s *Set) Clear() {
-	s.frames = make(map[int64]*frame, s.capacity)
-	s.head, s.tail = nil, nil
 }
 
 // ResidentValid reports whether block b is resident and valid.

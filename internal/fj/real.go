@@ -14,8 +14,3 @@ import "repro/internal/rt"
 func RunReal(pool *rt.Pool, root func(*Ctx)) {
 	pool.Run(func(rc *rt.Ctx) { root(&Ctx{rc: rc}) })
 }
-
-// RunOn executes root within an existing rt task context — the hook for
-// callers (registry, experiments) that already hold a pool task and want to
-// time or compose fj work inside it.
-func RunOn(rc *rt.Ctx, root func(*Ctx)) { root(&Ctx{rc: rc}) }

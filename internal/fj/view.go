@@ -116,15 +116,7 @@ func (c *Ctx) AllocF64(n int64) F64 {
 	return F64{s: s, ar: true}
 }
 
-// ScratchF64 is AllocF64 without the real-backend zeroing.
-func (c *Ctx) ScratchF64(n int64) F64 {
-	if c.sc != nil {
-		return F64{a: c.sc.AllocArray(n)}
-	}
-	return F64{s: c.rc.Scratch().F64.Get(n), ar: true}
-}
-
-// FreeF64 releases a view obtained from AllocF64/ScratchF64 (see FreeI64).
+// FreeF64 releases a view obtained from AllocF64 (see FreeI64).
 func (c *Ctx) FreeF64(v F64) {
 	if !v.ar {
 		return

@@ -49,9 +49,6 @@ func NewSpace(blockWords int) *Space {
 	return &Space{blockB: blockWords}
 }
 
-// BlockWords returns B, the number of words per block.
-func (s *Space) BlockWords() int { return s.blockB }
-
 // Block returns the block index containing addr.
 func (s *Space) Block(addr Addr) int64 { return addr / int64(s.blockB) }
 
@@ -82,16 +79,6 @@ func (s *Space) Alloc(n int64) Addr {
 	return base
 }
 
-// AllocUnaligned reserves n words at the current high-water mark without
-// rounding to a block boundary.  Used only by the execution-stack model,
-// where block sharing between adjacent frames is the phenomenon under study.
-func (s *Space) AllocUnaligned(n int64) Addr {
-	base := s.used
-	s.used = base + n
-	s.grow(s.used)
-	return base
-}
-
 // Load reads the word at addr without any cache simulation.  Untouched
 // memory reads as zero.
 func (s *Space) Load(addr Addr) int64 {
@@ -114,22 +101,6 @@ func (s *Space) Store(addr Addr, v int64) {
 // LoadF and StoreF move float64 payloads through the word at addr.
 func (s *Space) LoadF(addr Addr) float64     { return math.Float64frombits(uint64(s.Load(addr))) }
 func (s *Space) StoreF(addr Addr, v float64) { s.Store(addr, int64(math.Float64bits(v))) }
-
-// Arena is a block-aligned sub-allocator drawing from a Space.  Each
-// simulated processor owns one Arena for its dynamic allocations so that no
-// two processors' allocations share a block.
-type Arena struct {
-	sp *Space
-}
-
-// NewArena returns an arena over sp.
-func NewArena(sp *Space) *Arena { return &Arena{sp: sp} }
-
-// Alloc reserves n block-aligned words.
-func (a *Arena) Alloc(n int64) Addr { return a.sp.Alloc(n) }
-
-// Space returns the underlying address space.
-func (a *Arena) Space() *Space { return a.sp }
 
 // Region describes a contiguous allocated range [Base, Base+Len).
 type Region struct {

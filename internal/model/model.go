@@ -8,15 +8,19 @@
 //   - StealExcess — the steal-bounded extra cold/capacity misses under
 //     work stealing (Lemma 4.4 for BP computations, Lemma 4.1 for Type-2
 //     HBP computations);
+//   - FalseSharing — the false-sharing term of the block-miss lemmas
+//     (Lemmas 4.8/4.9/4.2);
 //   - BlockDelay — the extra block transfers of Definition 2.2 that
 //     cache.Directory.Transfers measures, i.e. the steal excess plus the
-//     false-sharing term of the block-miss lemmas (Lemmas 4.8/4.9/4.2).
+//     false-sharing term.
 //
 // The formulas predict *growth*, not constants: experiment EXP14
 // (internal/bench) fits the constant of each (algorithm, quantity,
 // scheduler, p, B) group on the smallest measured size and then asserts
 // that measured/(c·predicted) stays within the model's declared Envelope
-// at every larger size.  Fit and Check implement that protocol.
+// at every larger size.  Fit and Check implement that protocol.  EXP02
+// checks StealExcess and FalseSharing with constant 1 over the p and B
+// axes, which EXP14's per-(p, B) fit absorbs.
 package model
 
 import "math"
@@ -30,7 +34,7 @@ type Params struct {
 }
 
 // Quantity names one predicted cost component; the values double as the
-// Note tags of EXP14 rows.
+// Note tags of EXP02 and EXP14 rows.
 type Quantity string
 
 const (
@@ -38,12 +42,14 @@ const (
 	SeqQ Quantity = "seqQ"
 	// StealExcess is the extra cold/capacity misses under work stealing.
 	StealExcess Quantity = "excess"
+	// FalseSharing is the false-sharing block-miss term alone.
+	FalseSharing Quantity = "blockmiss"
 	// BlockDelay is the extra directory transfers (Definition 2.2):
 	// steal excess plus the false-sharing block-miss term.
 	BlockDelay Quantity = "transfers"
 )
 
-// Quantities lists every checked quantity in report order.
+// Quantities lists the quantities EXP14 fits, in report order.
 func Quantities() []Quantity { return []Quantity{SeqQ, StealExcess, BlockDelay} }
 
 // Model holds the closed-form predictors of one catalog algorithm.  All
@@ -70,6 +76,8 @@ func (m Model) Predict(q Quantity, p Params) float64 {
 		return m.seqQ(p)
 	case StealExcess:
 		return m.stealExcess(p)
+	case FalseSharing:
+		return m.fsDelay(p)
 	case BlockDelay:
 		return m.stealExcess(p) + m.fsDelay(p)
 	}
@@ -95,7 +103,7 @@ func Fit(measured, predicted float64) float64 {
 // TwoSided reports whether quantity q is checked on both sides of the
 // envelope.  SeqQ is a tight Θ-form (a serial execution cannot beat its own
 // cache complexity), so drifting below the fit is as suspicious as drifting
-// above it.  StealExcess and BlockDelay come from O(·) upper-bound lemmas:
+// above it.  The other quantities come from O(·) upper-bound lemmas:
 // measuring *less* than the bound is the lemma holding comfortably, so only
 // the upper side fails.
 func TwoSided(q Quantity) bool { return q == SeqQ }
@@ -109,8 +117,8 @@ func Check(q Quantity, measured, predicted, c, envelope float64) (ratio float64,
 
 // CheckRatio is the single envelope predicate: ratio ≤ envelope always,
 // and additionally ratio ≥ 1/envelope for two-sided quantities (TwoSided).
-// Every consumer of an EXP14 row (finish pass, renderer, acceptance test,
-// run_all grep) must judge through this function so the verdict cannot
+// Every consumer of an EXP02 or EXP14 row (finish pass, renderer,
+// acceptance test, run_all grep) must judge through this function so the verdict cannot
 // diverge between surfaces.
 func CheckRatio(q Quantity, ratio, envelope float64) bool {
 	return ratio <= envelope && (!TwoSided(q) || ratio >= 1/envelope)

@@ -13,7 +13,7 @@ func TestEveryModelPositiveAndFinite(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: not found", name)
 		}
-		for _, q := range Quantities() {
+		for _, q := range append(Quantities(), FalseSharing) {
 			v := m.Predict(q, base)
 			if !(v > 0) || math.IsInf(v, 0) || math.IsNaN(v) {
 				t.Errorf("%s/%s: predict = %v, want positive finite", name, q, v)

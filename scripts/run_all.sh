@@ -2,7 +2,7 @@
 # run_all.sh — reproducible quick pass over the whole evaluation:
 #   1) verification half: gofmt/vet/build/test gate + race/docs gates
 #   2) grid half: quick experiment grid -> runs/<stamp>/{csv,logs} archive,
-#      CSV sanity, -canon determinism, and the EXP14 envelope grep
+#      CSV sanity, -canon determinism, and the model-envelope grep
 #
 # Usage: bash scripts/run_all.sh [--verify-only|--grid-only] [outdir]
 #   (default: both halves; default outdir: runs)
@@ -117,7 +117,7 @@ if [ "$MODE" != verify ]; then
         exit 1
     }
     # every experiment must have produced rows
-    for e in EXP01 EXP02 EXP03 EXP04 EXP05 EXP06 EXP07 EXP08 EXP09 EXP10 EXP11 EXP13 EXP14 EXP15 EXP16; do
+    for e in EXP01 EXP02 EXP05 EXP06 EXP07 EXP08 EXP09 EXP10 EXP11 EXP13 EXP14 EXP15 EXP16; do
         grep -q "^$e," "$rows_csv" || {
             echo "no rows for $e" >&2
             exit 1
@@ -154,14 +154,14 @@ if [ "$MODE" != verify ]; then
         exit 1
     fi
 
-    echo "== determinism: -canon rows identical at -parallel 1 vs 8 (EXP05, EXP14, EXP15, EXP16) =="
-    for e in EXP05 EXP14 EXP15 EXP16; do
+    echo "== determinism: -canon rows identical at -parallel 1 vs 8 (EXP02, EXP05, EXP14, EXP15, EXP16) =="
+    for e in EXP02 EXP05 EXP14 EXP15 EXP16; do
         go run ./cmd/hbpbench -quick -exp "$e" -parallel 1 -canon -json >"$dir/logs/$e.p1.jsonl"
         go run ./cmd/hbpbench -quick -exp "$e" -parallel 8 -canon -json >"$dir/logs/$e.p8.jsonl"
         cmp "$dir/logs/$e.p1.jsonl" "$dir/logs/$e.p8.jsonl"
     done
 
-    echo "== model check: no EXP14/EXP15 row outside its envelope =="
+    echo "== model check: no EXP02/EXP14/EXP15 row outside its envelope =="
     if grep -q "OUT OF ENVELOPE" "$dir/logs/tables.txt"; then
         echo "rows outside the model envelope:" >&2
         grep "OUT OF ENVELOPE" "$dir/logs/tables.txt" >&2
